@@ -39,6 +39,8 @@ class Rig:
 
     sim: object
     machine: object
+    #: Odyssey's energy/fidelity records (hardware state changes are in
+    #: the machine's power journal).
     timeline: object
     link: object
     xserver: object
@@ -56,9 +58,12 @@ class Rig:
         excluding whatever the event queue still holds (e.g. pending
         spin-down timers).
         """
-        while any(p.alive for p in processes):
-            if not self.sim.step():
-                raise RuntimeError("event queue drained with processes alive")
+        step = self.sim.step
+        for process in processes:
+            while process.alive:
+                if not step():
+                    raise RuntimeError(
+                        "event queue drained with processes alive")
         self.machine.advance()
         return self.machine.energy_total
 
@@ -107,7 +112,6 @@ def build_rig(pm_enabled=True, display_policy="bright", costs=None,
     machine = build_machine(
         sim,
         supply=supply if supply is not None else ExternalSupply(),
-        timeline=timeline,
         zoned=zoned,
         scheduler=scheduler,
     )

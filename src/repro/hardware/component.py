@@ -10,14 +10,15 @@ Components must notify the machine *before* changing state so that the
 energy consumed in the outgoing state is integrated at the old power
 level — state changes are edges in a piecewise-constant power signal.
 
-The notification hook (``_pre_change``, pointed by ``Machine.attach``
-at :meth:`~repro.hardware.machine.Machine.power_will_change`) also
-invalidates the machine's cached instantaneous power, so authors of
-component subclasses that mutate power through paths other than
-:meth:`PowerComponent.set_state` (e.g. zoned displays re-lighting
-individual zones) MUST call ``self._pre_change()`` before every
-power-affecting mutation.  Skipping it silently corrupts both the
-energy integral and the cache; see docs/architecture.md ("Performance").
+The notification hook (``_pre_change``, installed by ``Machine.attach``)
+integrates energy up to now and marks this component's cached watts
+stale — the machine re-reads only stale components when it next sums
+its power — so authors of component subclasses that mutate power
+through paths other than :meth:`PowerComponent.set_state` (e.g. zoned
+displays re-lighting individual zones) MUST call ``self._pre_change()``
+before every power-affecting mutation.  Skipping it silently corrupts
+both the energy integral and the cache; see docs/architecture.md
+("Performance").
 """
 
 from __future__ import annotations

@@ -62,7 +62,8 @@ class Disk(PowerComponent):
         sim = machine.sim
         # One head: concurrent accesses from different processes queue.
         grant = machine.disk_resource.acquire(owner=process)
-        yield grant
+        if not grant.triggered:
+            yield from machine.disk_resource.wait(grant)
         try:
             if self.spin_up_needed():
                 # Spin-up draws active power for the whole delay.

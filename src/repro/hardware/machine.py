@@ -14,7 +14,10 @@ Because the power signal is piecewise constant, the machine caches the
 instantaneous total (and the correction, computed once per refresh) and
 invalidates the cache only when a component is about to change state —
 components announce changes through their ``_pre_change`` hook, which
-:meth:`Machine.attach` points at :meth:`Machine.power_will_change`.
+:meth:`Machine.attach` points at a per-component hook that integrates
+up to now and marks only that component's ``(name, watts)`` pair stale.
+The next refresh re-reads just the stale pairs, then still sums every
+pair left to right, so the total is bit-identical to a full recompute.
 Component authors adding new power-affecting mutations must call that
 hook *before* mutating; see docs/architecture.md ("Performance").
 
@@ -52,6 +55,7 @@ import json
 
 from repro.hardware.component import HardwareError
 from repro.obs.metrics import current_metrics
+from repro.sim.engine import Timeout
 from repro.sim.resources import Resource
 
 __all__ = ["Machine", "PowerSegment", "IDLE_PROCESS", "IDLE_PROCEDURE"]
@@ -196,12 +200,11 @@ class Machine:
     AUTO_FOLD_SEGMENTS = 4096
 
     def __init__(self, sim, supply, voltage=16.0, correction=None,
-                 timeline=None, scheduler=None, metrics=None, profile=None):
+                 scheduler=None, metrics=None, profile=None):
         self.sim = sim
         self.supply = supply
         self.voltage = voltage
         self.correction = correction or (lambda machine: 0.0)
-        self.timeline = timeline
         # Optional repro.devices.DeviceProfile: scales the wattage table
         # of every subsequently attached component.  Construction-time
         # identity (like `correction`), not snapshotted state — forks
@@ -232,11 +235,16 @@ class Machine:
         self._overlays_snapshot = ()
 
         # Cached instantaneous power (piecewise constant between
-        # component changes).  Dirty until first read.
+        # component changes).  Dirty until first read.  `_pairs` holds
+        # one `(name, watts)` per component in attach order; `_stale`
+        # maps the index of each component whose watts may have changed
+        # since the last refresh to that component.
         self._power = 0.0
         self._correction_value = 0.0
         self._comp_powers = ()
         self._power_dirty = True
+        self._pairs = []
+        self._stale = {}
 
         # Segment journal + lazily folded attribution accumulators.
         self._journal = []
@@ -302,15 +310,25 @@ class Machine:
                     for state, watts in component.states.items()
                 }
         self.components[component.name] = component
-        component._pre_change = self.power_will_change
+        index = len(self._pairs)
+        self._pairs.append((component.name, component.power))
+        component._pre_change = self._pre_change_hook(index, component)
+        self._stale[index] = component
         self._power_dirty = True
-        if self.timeline is not None:
-            component.observe(
-                lambda comp, old, new: self.timeline.record(
-                    self.sim.now, "hardware", comp.name, new
-                )
-            )
         return component
+
+    def _pre_change_hook(self, index, component):
+        """The ``_pre_change`` hook of ``component``, attached at
+        ``index``: :meth:`power_will_change` narrowed to its pair."""
+        advance = self.advance
+        stale = self._stale
+
+        def pre_change():
+            advance()
+            stale[index] = component
+            self._power_dirty = True
+
+        return pre_change
 
     def __getitem__(self, name):
         return self.components[name]
@@ -322,14 +340,24 @@ class Machine:
     # instantaneous readings
     # ------------------------------------------------------------------
     def _refresh_power(self):
-        """Recompute the cached total, correction, and component split."""
+        """Recompute the cached total, correction, and component split.
+
+        Only stale pairs re-read their component's watts.  The total is
+        still summed over every pair, left to right in attach order,
+        with an explicit loop (``sum()`` of floats changed in Python
+        3.12), and ``_comp_powers`` is always a new tuple: ``advance``
+        merges journal segments by its identity.
+        """
+        pairs = self._pairs
+        stale = self._stale
+        if stale:
+            for index, component in stale.items():
+                pairs[index] = (component.name, component.power)
+            stale.clear()
         total = 0.0
-        comp_powers = []
-        for name, component in self.components.items():
-            watts = component.power
-            comp_powers.append((name, watts))
+        for _name, watts in pairs:
             total += watts
-        self._comp_powers = tuple(comp_powers)
+        self._comp_powers = tuple(pairs)
         self._correction_value = self.correction(self)
         self._power = total + self._correction_value
         self._power_dirty = False
@@ -349,19 +377,21 @@ class Machine:
     def power_will_change(self):
         """Integrate at the outgoing power, then invalidate the cache.
 
-        Components call this (via their ``_pre_change`` hook) *before*
-        any power-affecting mutation; the next :attr:`power` read — which
-        necessarily happens after the mutation — recomputes the cache.
+        Call this *before* a power-affecting mutation that may touch any
+        component (each component's own ``_pre_change`` hook covers just
+        that component); the next :attr:`power` read — which necessarily
+        happens after the mutation — recomputes every pair.
         """
         self.advance()
-        self._power_dirty = True
+        self.invalidate_power()
 
     def invalidate_power(self):
-        """Mark the cached power stale without integrating.
+        """Mark every cached component pair stale without integrating.
 
         Prefer :meth:`power_will_change`; this exists for component
         authors whose mutation already integrated through other means.
         """
+        self._stale.update(enumerate(self.components.values()))
         self._power_dirty = True
 
     # ------------------------------------------------------------------
@@ -678,27 +708,41 @@ class Machine:
         power state and attribution handled per slice.
         """
         cpu = self.components.get("cpu")
-        token_box = []
-
-        def on_grant():
-            token_box.append(self.push_context(process, procedure))
-            if cpu is not None:
-                cpu.set_state("busy")
-
-        def on_release():
-            if cpu is not None:
-                cpu.set_state("idle")
-            self.pop_context(token_box.pop())
-
         if self.scheduler is not None:
+            token_box = []
+
+            def on_grant():
+                token_box.append(self.push_context(process, procedure))
+                if cpu is not None:
+                    cpu.set_state("busy")
+
+            def on_release():
+                if cpu is not None:
+                    cpu.set_state("idle")
+                self.pop_context(token_box.pop())
+
             yield from self.scheduler.run(
                 duration, owner=process,
                 on_slice_start=on_grant, on_slice_end=on_release,
             )
-        else:
-            yield from self.cpu_resource.use(
-                duration, owner=process, on_grant=on_grant, on_release=on_release
-            )
+            return
+        # FIFO whole-burst path, inlined (this runs for every burst of
+        # every paper experiment).  A free CPU grants synchronously, so
+        # there is nothing to yield on before the burst starts.
+        resource = self.cpu_resource
+        grant = resource.acquire(owner=process)
+        if not grant.triggered:
+            yield from resource.wait(grant)
+        token = self.push_context(process, procedure)
+        if cpu is not None:
+            cpu.set_state("busy")
+        try:
+            yield Timeout(self.sim, duration)
+        finally:
+            if cpu is not None:
+                cpu.set_state("idle")
+            self.pop_context(token)
+            resource.release(grant)
 
     def idle_for(self, duration):
         """Generator: let simulated time pass with no activity."""
@@ -853,6 +897,9 @@ class Machine:
             (name, watts) for name, watts in state["comp_powers"]
         )
         self._power_dirty = bool(state["power_dirty"])
+        # Component states were just overwritten behind the hooks' back:
+        # every pair re-reads its component at the next refresh.
+        self._stale.update(enumerate(self.components.values()))
         journal_state = state["journal"]
         if type(journal_state) is dict:
             # COW adoption: sealed blocks join by reference (closed

@@ -12,6 +12,7 @@ handler — the paper's profiles attribute those samples to
 
 from __future__ import annotations
 
+from repro.sim.engine import Timeout
 from repro.sim.resources import Resource
 
 __all__ = ["Link", "NetworkError", "DisconnectedError", "INTERRUPT_PROCESS"]
@@ -112,33 +113,36 @@ class Link:
         if not self.up:
             raise DisconnectedError("link is down")
         duration = self.transfer_time(nbytes)
-        start = self.sim.now
+        sim = self.sim
+        machine = self.machine
+        start = sim.now
         nic = self.nic
+        # Acquire, hold and release the medium directly: a free link
+        # grants synchronously, so there is nothing to yield on first.
+        resource = self._resource
+        grant = resource.acquire(owner=direction)
+        if not grant.triggered:
+            yield from resource.wait(grant)
+        if nic is not None:
+            nic.begin_transfer(direction)
         overlay = None
-
-        def on_grant():
-            nonlocal overlay
-            if nic is not None:
-                nic.begin_transfer(direction)
-            if self.interrupt_fraction > 0.0:
-                overlay = self.machine.add_overlay(
-                    self.interrupt_fraction, INTERRUPT_PROCESS, "_nic_interrupt"
-                )
-
-        def on_release():
+        if self.interrupt_fraction > 0.0:
+            overlay = machine.add_overlay(
+                self.interrupt_fraction, INTERRUPT_PROCESS, "_nic_interrupt"
+            )
+        try:
+            yield Timeout(sim, duration)
+        finally:
             if overlay is not None:
-                self.machine.remove_overlay(overlay)
+                machine.remove_overlay(overlay)
             if nic is not None:
                 nic.end_transfer()
             self.bytes_transferred += nbytes
             self.transfer_count += 1
-            elapsed = self.sim.now - start
+            elapsed = sim.now - start
             for observer in self._observers:
                 observer(nbytes, elapsed)
-
-        yield from self._resource.use(
-            duration, owner=direction, on_grant=on_grant, on_release=on_release
-        )
+            resource.release(grant)
 
     def recv(self, nbytes):
         """Generator: receive ``nbytes`` from the network."""

@@ -34,7 +34,6 @@ import time
 from repro.obs.diff import decision_spine
 from repro.obs.export import power_spans
 from repro.obs.metrics import current_metrics
-from repro.powerscope.phases import fold_phase_energy, spans_to_segments
 
 __all__ = [
     "SIGNATURE_VERSION",
@@ -136,6 +135,12 @@ def compute_signature(events, rel_tolerance=DEFAULT_REL_TOLERANCE,
     events and ``workload`` phase markers refine the segmentation when
     present.  Returns the signature as a JSON-shaped dict.
     """
+    # Imported here, not at module level: repro.obs sits below the
+    # simulator layers (sim and hardware import its tracer and metrics),
+    # and importing repro.powerscope at package import would pull
+    # repro.hardware back in half-initialised.
+    from repro.powerscope.phases import fold_phase_energy, spans_to_segments
+
     started = time.perf_counter()
     event_dicts = [_as_dict(event) for event in events]
     spans = power_spans(event_dicts)

@@ -16,7 +16,6 @@ random seed is exactly reproducible run-to-run.
 from __future__ import annotations
 
 import heapq
-import math
 
 from repro.obs.tracer import current_tracer
 from repro.sim.errors import ProcessError, SchedulingError
@@ -65,11 +64,19 @@ class Timeout(Waitable):
     __slots__ = ("delay",)
 
     def __init__(self, sim, delay):
-        if delay < 0 or math.isnan(delay):
+        # Validated once here, then pushed straight onto the heap: the
+        # same entry `sim.schedule(delay, self.trigger)` would push,
+        # without re-checking the delay.  Every burst creates one.
+        if delay < 0 or delay != delay:
             raise SchedulingError(f"timeout delay must be >= 0, got {delay!r}")
-        super().__init__(sim)
+        self.sim = sim
+        self._callbacks = []
+        self.triggered = False
+        self.value = None
         self.delay = delay
-        sim.schedule(delay, self.trigger)
+        seq = sim._next_seq
+        sim._next_seq = seq + 1
+        heapq.heappush(sim._heap, (sim.now + delay, seq, self.trigger))
 
 
 class Event(Waitable):
@@ -79,6 +86,8 @@ class Event(Waitable):
     :meth:`Waitable.trigger` (optionally via :meth:`succeed`) when the
     condition the event models has occurred.
     """
+
+    __slots__ = ()
 
     def succeed(self, value=None):
         """Alias for :meth:`Waitable.trigger` that reads better at call sites."""

@@ -109,6 +109,11 @@ class Process(Waitable):
 
     def _deliver_interrupt(self):
         if self.alive and self._interrupt_pending is not None:
+            # Stop listening to the abandoned waitable, or it would
+            # resume the process again when it fires later.
+            waiting = self._waiting_on
+            if waiting is not None and not waiting.triggered:
+                waiting._callbacks.remove(self._resume)
             self._resume(None)
 
     def join(self):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.sim.engine import Waitable
-from repro.sim.errors import ResourceError
+from repro.sim.errors import Interrupted, ResourceError
 
 __all__ = ["Resource", "ResourceGrant"]
 
@@ -90,6 +90,24 @@ class Resource:
             self._holders.append(nxt)
             nxt.trigger(nxt)
 
+    def wait(self, grant):
+        """Generator: wait until a queued ``grant`` is granted.
+
+        Callers skip this when ``acquire`` granted synchronously.  If
+        the waiter is interrupted (or closed) first, the grant is
+        withdrawn — dropped from the queue, or released if it was
+        granted in the same instant — so the next waiter is served
+        instead of a dead one.
+        """
+        try:
+            yield grant
+        except (Interrupted, GeneratorExit):
+            try:
+                self._queue.remove(grant)
+            except ValueError:
+                self.release(grant)
+            raise
+
     def use(self, duration, owner=None, on_grant=None, on_release=None):
         """Generator: hold the resource for ``duration`` simulated seconds.
 
@@ -99,7 +117,10 @@ class Resource:
         attribution contexts exactly while the resource is held.
         """
         grant = self.acquire(owner=owner)
-        yield grant
+        # A free resource grants synchronously; yielding the triggered
+        # grant would only resume this generator on the spot.
+        if not grant.triggered:
+            yield from self.wait(grant)
         if on_grant is not None:
             on_grant()
         try:

@@ -62,7 +62,8 @@ class QuantumScheduler:
         remaining = duration
         while remaining > 1e-12:
             grant = self._resource.acquire(owner=owner)
-            yield grant
+            if not grant.triggered:
+                yield from self._resource.wait(grant)
             slice_length = min(self.quantum, remaining)
             if on_slice_start is not None:
                 on_slice_start()

@@ -192,19 +192,22 @@ class TestMapViewer:
 
     def test_nic_standby_during_think_time_with_pm(self):
         rig = build_rig(pm_enabled=True, think_time_s=10.0)
+        rig.machine.pin_journal()
         viewer = rig.apps["map"]
         proc = rig.sim.spawn(viewer.view(MAPS[1]))
         rig.run_until_complete(proc)
         # The NIC woke for the fetch RPC and fell back to standby for
-        # the think period (paper: standby except during RPCs).
-        nic_states = [
-            r.value
-            for r in rig.timeline.category("hardware")
-            if r.label == "wavelan"
+        # the think period (paper: standby except during RPCs): the
+        # power journal's per-component watts show both.
+        nic = rig.machine["wavelan"]
+        nic_watts = [
+            dict(segment.comp_powers)["wavelan"]
+            for segment in rig.machine.journal
         ]
-        assert WaveLan.RECV in nic_states or WaveLan.XMIT in nic_states
-        assert nic_states[-1] == WaveLan.STANDBY
-        assert rig.machine["wavelan"].state == WaveLan.STANDBY
+        assert (nic.states[WaveLan.RECV] in nic_watts
+                or nic.states[WaveLan.XMIT] in nic_watts)
+        assert nic_watts[-1] == nic.states[WaveLan.STANDBY]
+        assert nic.state == WaveLan.STANDBY
 
     def test_window_rect_halves_when_cropped(self):
         rig = build_rig()

@@ -16,7 +16,7 @@ from repro.hardware import (
     build_machine,
 )
 from repro.hardware import thinkpad560x as tp
-from repro.sim import Simulator, Timeline
+from repro.sim import Simulator
 
 
 def simple_machine(sim, supply=None):
@@ -350,11 +350,14 @@ class TestPowerManager:
         with pytest.raises(ValueError):
             PowerManager(machine, enabled=True, display_policy="sepia")
 
-    def test_timeline_records_state_changes(self):
+    def test_journal_records_state_changes(self):
         sim = Simulator()
-        timeline = Timeline()
-        machine = build_machine(sim, timeline=timeline)
-        machine["display"].dim()
-        changes = timeline.category("hardware")
-        assert changes and changes[-1].label == "display"
-        assert changes[-1].value == Display.DIM
+        machine = build_machine(sim)
+        display = machine["display"]
+        sim.run(until=1.0)
+        display.dim()
+        sim.run(until=2.0)
+        machine.advance()
+        watts = [dict(s.comp_powers)["display"] for s in machine.journal]
+        assert watts == [display.states[Display.BRIGHT],
+                         display.states[Display.DIM]]

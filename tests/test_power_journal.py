@@ -251,3 +251,119 @@ def test_journal_energy_equals_total_for_any_schedule(script):
     assert sum(machine.energy_by_process.values()) == pytest.approx(
         machine.energy_total, rel=1e-9, abs=1e-12
     )
+
+
+# ----------------------------------------------------------------------
+# incremental power cache
+# ----------------------------------------------------------------------
+def _scratch_power(machine):
+    """Every component re-read and summed left to right in attach order."""
+    pairs = [(name, component.power)
+             for name, component in machine.components.items()]
+    total = 0.0
+    for _name, watts in pairs:
+        total += watts
+    correction = machine.correction(machine)
+    return pairs, correction, total + correction
+
+
+def _zoned_machine(sim):
+    from repro.hardware import build_machine
+
+    return build_machine(sim, zoned=(2, 2))
+
+
+def _fork(machine, flat):
+    """Capture ``machine`` and restore it onto a freshly built one."""
+    import json
+
+    from repro.snapshot.protocol import CaptureContext, RestoreContext
+
+    capture = CaptureContext(machine.sim)
+    state = capture.capture("machine", machine)
+    shared = capture.shared
+    if flat:
+        # The disk/JSON path: shared markers expanded to plain rows.
+        state = dict(state, journal=shared["machine/journal"].materialize())
+        state = json.loads(json.dumps(state))
+        shared = {}
+    sim = Simulator(start_time=machine.sim.now)
+    fork = _zoned_machine(sim)
+    # Snapshots carry component states, not wattage tables or zone
+    # levels; the rebuilt hardware gets the parent's, the way its
+    # builder would rebuild them.
+    for name, component in machine.components.items():
+        fork[name].states = dict(component.states)
+    fork["display"].zone_levels = list(machine["display"].zone_levels)
+    # A reading before restore primes the fork's cache with its built
+    # state, which the restore must then discard.
+    fork.power
+    RestoreContext(sim, [], shared).restore("machine", fork, state)
+    return fork
+
+
+_OPS = st.one_of(
+    st.tuples(st.just("set_state"), st.integers(0, 4), st.integers(0, 4)),
+    st.tuples(st.just("set_zone"), st.integers(0, 3), st.integers(0, 2)),
+    st.tuples(st.just("power_will_change"), st.integers(0, 4),
+              st.sampled_from([0.5, 1.25, 2.0])),
+    st.tuples(st.just("invalidate_power"), st.integers(0, 4),
+              st.sampled_from([0.5, 1.25, 2.0])),
+    st.tuples(st.just("fork"), st.booleans(), st.just(0)),
+    st.tuples(st.just("advance"),
+              st.sampled_from([0.0, 0.001, 0.1, 0.7, 3.0]), st.just(0)),
+)
+
+
+@given(st.lists(_OPS, min_size=1, max_size=40))
+@settings(max_examples=250, deadline=None)
+def test_incremental_power_equals_full_recompute(script):
+    """After every step the cached power, component pairs and correction
+    equal (==) a from-scratch recompute, and every refresh builds a new
+    ``comp_powers`` tuple."""
+    from repro.hardware import Display
+
+    refreshed = []
+
+    def spy(machine):
+        refresh = machine._refresh_power
+
+        def spied():
+            refresh()
+            refreshed.append(machine._comp_powers)
+
+        machine._refresh_power = spied
+        return machine
+
+    sim = Simulator()
+    machine = spy(_zoned_machine(sim))
+    levels = (Display.BRIGHT, Display.DIM, Display.OFF)
+    for op, a, b in script:
+        names = list(machine.components)
+        component = machine.components[names[int(a) % len(names)]]
+        if op == "set_state":
+            others = sorted(set(component.states) - {component.state})
+            if others:
+                component.set_state(others[b % len(others)])
+        elif op == "set_zone":
+            machine["display"].set_zone(a, levels[b])
+        elif op == "power_will_change":
+            # A drift-style mutation no single component hook covers.
+            machine.power_will_change()
+            component.states = {s: w * b for s, w in component.states.items()}
+        elif op == "invalidate_power":
+            machine.advance()
+            component.states = {s: w * b for s, w in component.states.items()}
+            machine.invalidate_power()
+        elif op == "fork":
+            machine = spy(_fork(machine, flat=a))
+            sim = machine.sim
+        else:
+            sim.run(until=sim.now + a)
+            machine.advance()
+        pairs, correction, power = _scratch_power(machine)
+        assert machine.power == power
+        assert list(machine._comp_powers) == pairs
+        assert machine._correction_value == correction
+    for index, comp_powers in enumerate(refreshed):
+        assert all(comp_powers is not other for other in refreshed[:index])

@@ -137,6 +137,25 @@ class TestInterrupts:
         assert not process.alive
         assert not process.failed
 
+    def test_abandoned_wait_does_not_resume_later(self):
+        sim = Simulator()
+        log = []
+
+        def proc():
+            try:
+                yield sim.timeout(1.0)
+            except Interrupted:
+                log.append(("interrupted", sim.now))
+            woken = yield sim.timeout(2.0)
+            log.append(("woke", sim.now, woken))
+
+        process = sim.spawn(proc())
+        sim.schedule(0.5, lambda t: process.interrupt())
+        sim.run()
+        # The first timeout still fires at 1.0, but no longer wakes the
+        # process out of its second wait.
+        assert log == [("interrupted", 0.5), ("woke", 2.5, 2.5)]
+
     def test_interrupting_finished_process_is_noop(self):
         sim = Simulator()
 
@@ -216,3 +235,81 @@ class TestResource:
         sim.run()
         assert released_at == [4.0]
         assert res.in_use == 0
+
+
+def _resource_use(sim):
+    res = Resource(sim, capacity=1)
+    return res, lambda owner, seconds: res.use(seconds, owner=owner)
+
+
+def _machine_compute(sim):
+    from repro.hardware import ExternalSupply, Machine
+
+    machine = Machine(sim, ExternalSupply())
+    return machine.cpu_resource, lambda owner, seconds: machine.compute(
+        seconds, owner)
+
+
+def _scheduled_compute(sim):
+    from repro.hardware import ExternalSupply, Machine
+    from repro.sim import QuantumScheduler
+
+    # One quantum covers a whole 1 s burst, so the timings match FIFO.
+    scheduler = QuantumScheduler(sim, quantum=2.0)
+    machine = Machine(sim, ExternalSupply(), scheduler=scheduler)
+    return scheduler._resource, lambda owner, seconds: machine.compute(
+        seconds, owner)
+
+
+def _disk_read(sim):
+    from repro.hardware import Disk, ExternalSupply, Machine
+
+    machine = Machine(sim, ExternalSupply())
+    disk = machine.attach(Disk(0.9, 0.2, 2.0, read_bandwidth=1.0))
+    return machine.disk_resource, lambda owner, seconds: disk.read(
+        machine, seconds, owner)
+
+
+def _link_transfer(sim):
+    from repro.hardware import ExternalSupply, Machine
+    from repro.net import Link
+
+    link = Link(Machine(sim, ExternalSupply()), bandwidth_bps=8.0,
+                latency=0.0)
+    # At 8 b/s a transfer of n bytes holds the link for n seconds.
+    return link._resource, lambda owner, seconds: link.transfer(
+        seconds, "recv")
+
+
+class TestInterruptedWaiter:
+    """A waiter interrupted in the queue must not keep (or later get)
+    the grant: the next waiter is served when the holder releases."""
+
+    @pytest.mark.parametrize("path", [_resource_use, _machine_compute,
+                                      _scheduled_compute, _disk_read,
+                                      _link_transfer])
+    @pytest.mark.parametrize("interrupt_at", [0.2, 1.0])
+    def test_grant_passes_to_next_waiter(self, path, interrupt_at):
+        # interrupt_at=0.2: b is still queued.  interrupt_at=1.0: the
+        # interrupt is pending when a's release hands b the grant, so b
+        # is thrown into while already holding it.
+        sim = Simulator()
+        res, hold = path(sim)
+        done = {}
+
+        def worker(tag, start, seconds):
+            yield sim.timeout(start)
+            try:
+                yield from hold(tag, seconds)
+            except Interrupted:
+                done[tag] = "interrupted"
+                return
+            done[tag] = sim.now
+
+        sim.spawn(worker("a", 0.0, 1.0))
+        b = sim.spawn(worker("b", 0.05, 1.0))
+        sim.spawn(worker("c", 0.1, 1.0))
+        sim.schedule(interrupt_at, lambda _t: b.interrupt("give up"))
+        sim.run()
+        assert done == {"a": 1.0, "b": "interrupted", "c": 2.0}
+        assert res.in_use == 0 and res.queued == 0

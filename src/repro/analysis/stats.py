@@ -9,34 +9,44 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-try:  # scipy gives exact small-sample t quantiles when available
-    from scipy import stats as _scipy_stats
-except ImportError:  # pragma: no cover - scipy is an install-time given
-    _scipy_stats = None
-
 __all__ = ["TrialStats", "summarize", "t_quantile"]
 
-# Two-sided 90% t quantiles by degrees of freedom (fallback table).
-_T90 = {
-    1: 6.314, 2: 2.920, 3: 2.353, 4: 2.132, 5: 2.015, 6: 1.943,
-    7: 1.895, 8: 1.860, 9: 1.833, 10: 1.812, 15: 1.753, 20: 1.725,
-    30: 1.697, 60: 1.671,
-}
+def _coverage(theta, dof):
+    """P(|T| < sqrt(dof) * tan(theta)) for integer ``dof``.
+
+    The finite sums of Abramowitz & Stegun 26.7.3 (odd ``dof``) and
+    26.7.4 (even ``dof``); monotone increasing in ``theta``.
+    """
+    odd = dof % 2
+    sin, cos = math.sin(theta), math.cos(theta)
+    total, term = 0.0, 1.0
+    for k in range(dof // 2):
+        total += term
+        term *= cos * cos * (2 * k + 1 + odd) / (2 * k + 2 + odd)
+    if odd:
+        return 2.0 / math.pi * (theta + sin * cos * total)
+    return sin * total
 
 
-def t_quantile(dof, confidence=0.90):
-    """Two-sided Student-t quantile for a confidence interval."""
-    if dof < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got {dof}")
-    if _scipy_stats is not None:
-        return float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, dof))
-    if confidence != 0.90:
-        raise ValueError("fallback table only covers 90% confidence")
-    keys = sorted(_T90)
-    for key in keys:
-        if dof <= key:
-            return _T90[key]
-    return 1.645
+def t_quantile(dof):
+    """Two-sided 90 % Student-t quantile for integer ``dof >= 1``.
+
+    Bisects ``theta = atan(t / sqrt(dof))`` to float resolution, so the
+    cost is linear in ``dof``; callers pass ``n - 1`` for ``n`` trials.
+    """
+    if dof < 1 or dof != int(dof):
+        raise ValueError(
+            f"degrees of freedom must be an integer >= 1, got {dof!r}")
+    dof = int(dof)
+    lo, hi = 0.0, math.pi / 2
+    while True:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            return math.sqrt(dof) * math.tan(mid)
+        if _coverage(mid, dof) < 0.90:
+            lo = mid
+        else:
+            hi = mid
 
 
 @dataclass(frozen=True)
@@ -61,7 +71,7 @@ class TrialStats:
         return f"{self.mean:{spec}} ± {self.ci90:{spec}}"
 
 
-def summarize(values, confidence=0.90):
+def summarize(values):
     """Summarize trial values the way the paper's error bars do."""
     values = list(values)
     if not values:
@@ -72,5 +82,5 @@ def summarize(values, confidence=0.90):
         return TrialStats(mean, 0.0, 0.0, 1)
     variance = sum((v - mean) ** 2 for v in values) / (n - 1)
     stdev = math.sqrt(variance)
-    half = t_quantile(n - 1, confidence) * stdev / math.sqrt(n)
+    half = t_quantile(n - 1) * stdev / math.sqrt(n)
     return TrialStats(mean, stdev, half, n)

@@ -123,9 +123,10 @@ def decision_spine(events):
     Accepts :class:`~repro.obs.tracer.TraceEvent` objects or the dicts
     :func:`~repro.obs.export.read_events_jsonl` returns.  Decisions are
     keyed by their ``did`` argument; upcall and infeasible events attach
-    to the decision whose ``did`` they carry.  Traces recorded before
-    decision ids existed fall back to arrival order (positional ids),
-    so old JSONL files still diff — just less robustly.
+    to the decision whose ``did`` they carry, and are dropped when no
+    recorded decision has it.  A ``decision.*`` event without a ``did``
+    raises :class:`ValueError`: the trace predates decision ids and must
+    be re-recorded.
     """
     entries = []
     by_did = {}
@@ -136,14 +137,16 @@ def decision_spine(events):
         name = record.get("name", "")
         args = record.get("args") or {}
         if name.startswith("decision."):
-            did = args.get("did", len(entries) + 1)
+            did = args.get("did")
+            if did is None:
+                raise ValueError(
+                    f"{name} at t={record['ts']} has no decision id; the "
+                    "trace predates decision ids and must be re-recorded")
             entry = SpineEntry(did, record["ts"], name.split(".", 1)[1])
             entries.append(entry)
             by_did[did] = entry
         elif name.startswith("upcall."):
             entry = by_did.get(args.get("did"))
-            if entry is None and entries:
-                entry = entries[-1]
             if entry is not None:
                 entry.upcalls += (
                     (name.split(".", 1)[1], args.get("application"),
@@ -151,8 +154,6 @@ def decision_spine(events):
                 )
         elif name == "infeasible":
             entry = by_did.get(args.get("did"))
-            if entry is None and entries:
-                entry = entries[-1]
             if entry is not None:
                 entry.infeasible = True
     entries.sort(key=lambda e: e.did)

@@ -50,16 +50,3 @@ class Timeline:
             if r.category == category and (label is None or r.label == label)
         ]
         return [r.time for r in records], [r.value for r in records]
-
-    def last(self, category, label=None):
-        """Most recent record in a category, or ``None``."""
-        for record in reversed(self.records):
-            if record.category == category and (
-                label is None or record.label == label
-            ):
-                return record
-        return None
-
-    def between(self, start, end):
-        """Records with ``start <= time < end``."""
-        return [r for r in self.records if start <= r.time < end]

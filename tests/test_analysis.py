@@ -1,6 +1,7 @@
 """Unit tests for the analysis helpers."""
 
 import math
+import statistics
 
 import pytest
 
@@ -13,6 +14,31 @@ from repro.analysis import (
     summarize,
     t_quantile,
 )
+
+
+# scipy.stats.t.ppf(0.95, dof) under scipy 1.17.1: the two-sided 90 %
+# quantile, pinned as literals so the suite needs no scipy.
+_T90_SCIPY = {
+    1: 6.313751514675037,
+    2: 2.9199855803537242,
+    3: 2.3533634348018233,
+    4: 2.1318467863266495,
+    5: 2.0150483733330233,
+    6: 1.9431802805153042,
+    7: 1.8945786050900062,
+    8: 1.8595480375308973,
+    9: 1.833112932656237,
+    10: 1.8124611228116756,
+    11: 1.7958848187040433,
+    12: 1.782287555649319,
+    15: 1.753050355692572,
+    20: 1.7247182429207866,
+    30: 1.697260886593957,
+    60: 1.6706488649046363,
+    61: 1.6702194837737365,
+    120: 1.6576508993552352,
+    1000: 1.6463788172854643,
+}
 
 
 class TestSummarize:
@@ -46,12 +72,22 @@ class TestSummarize:
         text = f"{summarize([1.0, 2.0]):.2f}"
         assert "±" in text
 
+    @pytest.mark.parametrize("dof", sorted(_T90_SCIPY))
+    def test_t_quantile_matches_scipy(self, dof):
+        assert t_quantile(dof) == pytest.approx(_T90_SCIPY[dof], rel=1e-12)
+
     def test_t_quantile_decreases_with_dof(self):
-        assert t_quantile(1) > t_quantile(5) > t_quantile(50)
+        values = [t_quantile(dof) for dof in range(1, 201)]
+        assert all(a > b for a, b in zip(values, values[1:]))
+        normal = statistics.NormalDist().inv_cdf(0.95)
+        assert values[-1] > t_quantile(5000) > normal
+        assert t_quantile(5000) == pytest.approx(normal, rel=1e-3)
 
     def test_t_quantile_invalid_dof(self):
-        with pytest.raises(ValueError):
-            t_quantile(0)
+        for dof in (0, -1, 2.5):
+            with pytest.raises(ValueError):
+                t_quantile(dof)
+        assert t_quantile(4.0) == t_quantile(4)
 
 
 class TestLinearFit:

@@ -3,6 +3,8 @@
 An import cycle only shows when the cycle's entry module is the first
 ``repro`` module imported, which a test session that already imported
 everything cannot see — so each import runs in its own subprocess.
+The same subprocess checks that the import loads nothing from an
+installed third-party package: the package runs on the stdlib alone.
 """
 
 import os
@@ -22,6 +24,20 @@ SUBPACKAGES = sorted(
 )
 
 
+# Imports the subpackage, then prints every module the import loaded
+# from an installed package.  Modules already loaded at interpreter
+# start (``.pth`` hooks in site-packages) are not the import's doing.
+_PROBE = """
+import sys
+before = set(sys.modules)
+import {name}
+for module_name in sorted(set(sys.modules) - before):
+    path = getattr(sys.modules[module_name], "__file__", None) or ""
+    if "site-packages" in path or "dist-packages" in path:
+        print(module_name, path)
+"""
+
+
 def test_subpackages_discovered():
     assert {"repro.sim", "repro.hardware", "repro.net",
             "repro.obs"} <= set(SUBPACKAGES)
@@ -32,7 +48,8 @@ def test_subpackage_imports_first(name):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-c", f"import {name}"],
+        [sys.executable, "-c", _PROBE.format(name=name)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert not proc.stdout, f"{name} loads installed packages:\n{proc.stdout}"

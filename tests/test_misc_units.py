@@ -40,16 +40,6 @@ class TestTimeline:
         times, _values = timeline.series("energy")
         assert times == [1.0, 2.0, 3.0]
 
-    def test_last(self):
-        timeline = self.make()
-        assert timeline.last("energy", "supply").value == 80.0
-        assert timeline.last("nothing") is None
-
-    def test_between(self):
-        timeline = self.make()
-        records = timeline.between(2.0, 4.0)
-        assert [r.time for r in records] == [2.0, 3.0]
-
 
 class TestXServer:
     def test_render_seconds_charges_x_process(self):

@@ -68,17 +68,24 @@ class TestDecisionSpine:
         spine = decision_spine(tracer.events)
         assert spine[0].infeasible
 
-    def test_legacy_traces_without_did_fall_back_to_position(self):
+    def test_decision_without_did_is_rejected(self):
         tracer = Tracer(clock=_clock)
         tracer.instant(0.5, "core", "decision.hold", track="goal",
                        args={"supply": 1.0, "demand": 0.5})
-        tracer.instant(1.0, "core", "decision.degrade", track="goal",
-                       args={"supply": 1.0, "demand": 2.0})
-        tracer.instant(1.0, "core", "upcall.degrade", track="video",
+        with pytest.raises(ValueError, match="re-recorded"):
+            decision_spine(tracer.events)
+
+    def test_upcall_without_matching_did_is_not_attached(self):
+        tracer = Tracer(clock=_clock)
+        _trace_decision(tracer, 1, "degrade")
+        tracer.instant(0.5, "core", "upcall.degrade", track="video",
                        args={"application": "video", "level": "b"})
+        _trace_upcall(tracer, 7, "degrade", "web", "jpeg-50")
+        tracer.instant(0.5, "core", "infeasible", track="goal",
+                       args={"supply": 1.0, "demand": 9.0})
         spine = decision_spine(tracer.events)
-        assert [e.did for e in spine] == [1, 2]
-        assert spine[1].upcalls == (("degrade", "video", "b"),)
+        assert spine[0].upcalls == ()
+        assert not spine[0].infeasible
 
     def test_non_core_events_ignored(self):
         tracer = Tracer(clock=_clock)
